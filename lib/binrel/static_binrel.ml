@@ -120,9 +120,8 @@ let obj_range t o =
 let pair_pos t o a =
   match (obj_range t o, find_local t.labels a) with
   | Some (_, l, r), Some la ->
-    let before = Huffman_wavelet.rank t.s la l in
-    let within = Huffman_wavelet.rank t.s la r - before in
-    if within = 0 then None
+    let before, upto = Huffman_wavelet.rank_pair t.s la l r in
+    if upto = before then None
     else begin
       (* the relation is a set: at most one occurrence of la in [l, r) *)
       let j = Huffman_wavelet.select t.s la before in

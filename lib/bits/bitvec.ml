@@ -1,4 +1,5 @@
-(* Fixed-length mutable bit vector over 63-bit words. *)
+(* Fixed-length mutable bit vector, [Popcount.word_bits] = 62 bits per
+   native [int] word. *)
 
 let w = Popcount.word_bits
 
@@ -64,6 +65,9 @@ let count t = Array.fold_left (fun acc x -> acc + Popcount.count x) 0 t.data
 let num_words t = Array.length t.data
 
 let word t j = t.data.(j)
+
+(* The backing array itself, not a copy; internal, for Rank_select. *)
+let unsafe_words t = t.data
 
 (* Valid-bit mask of word [j] (the last word may be partial). *)
 let word_mask t j =

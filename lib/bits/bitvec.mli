@@ -45,6 +45,11 @@ val num_words : t -> int
 (** [word t j] is the [j]-th backing word (62 valid bits). *)
 val word : t -> int -> int
 
+(** The backing word array itself (not a copy), for rank/select
+    directories that scan words without per-word calls. Writing to it
+    bypasses the length invariant. *)
+val unsafe_words : t -> int array
+
 (** Valid-bit mask of word [j]; the last word may be partial. *)
 val word_mask : t -> int -> int
 

@@ -1,7 +1,8 @@
 (** Static rank/select directory over a {!Bitvec.t}.
 
-    Superblock counts give [rank] in O(1) word probes; [select] binary
-    searches the directory. The underlying bit vector must not be
+    A superblock count every 8 words gives [rank] from one directory
+    probe plus a popcount of at most 8 words; [select] binary searches
+    the directory. The underlying bit vector must not be
     mutated after {!build}. *)
 
 type t
@@ -26,6 +27,11 @@ val rank1 : t -> int -> int
 
 (** [rank0 t i] is the number of zeros in positions [[0, i)]. *)
 val rank0 : t -> int -> int
+
+(** [access_rank t i] is [(rank1 t i lsl 1) lor b] where [b] is bit
+    [i] as 0 or 1: the bit and its rank from one probe, without
+    allocating. Raises [Invalid_argument] unless [0 <= i < length t]. *)
+val access_rank : t -> int -> int
 
 (** [select1 t k] is the position of the [k]-th (0-based) one.
     Raises [Invalid_argument] if [k >= ones t]. *)

@@ -170,12 +170,13 @@ let range t (pat : string) : (int * int) option =
    row; position = sample - steps. *)
 let position_of_row t row =
   let row = ref row and steps = ref 0 in
-  while not (Rank_select.get t.marked !row) do
+  let m = ref (Rank_select.access_rank t.marked !row) in
+  while !m land 1 = 0 do
     row := psi t !row;
-    incr steps
+    incr steps;
+    m := Rank_select.access_rank t.marked !row
   done;
-  let idx = Rank_select.rank1 t.marked !row in
-  Int_vec.get t.sample_vals idx - !steps
+  Int_vec.get t.sample_vals (!m lsr 1) - !steps
 
 let locate t row =
   if row < 0 || row >= t.m then invalid_arg "Csa_static.locate";

@@ -519,7 +519,7 @@ let mem t id = t.ops.op_mem id
 let search t p =
   let acc = ref [] in
   t.ops.op_search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-  List.sort compare !acc
+  Static_index.sort_hits !acc
 
 let iter_matches t p ~f = t.ops.op_search p ~f
 let count t p = t.ops.op_count p
@@ -551,7 +551,7 @@ let view_iter_matches v p ~f = v.vw_search p ~f
 let view_search v p =
   let acc = ref [] in
   v.vw_search p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-  List.sort compare !acc
+  Static_index.sort_hits !acc
 
 let view_count v p = v.vw_count p
 let view_extract v ~doc ~off ~len = v.vw_extract ~doc ~off ~len

@@ -39,3 +39,10 @@ module type S = sig
 
   val space_bits : t -> int
 end
+
+(* Hits are sorted on every search; an int comparator is about twice as
+   fast as polymorphic [compare] on 1k-hit lists, with the same order. *)
+let compare_hit ((d1, o1) : int * int) ((d2, o2) : int * int) =
+  if d1 <> d2 then compare d1 d2 else compare o1 o2
+
+let sort_hits l = List.sort compare_hit l

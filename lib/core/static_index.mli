@@ -51,3 +51,7 @@ module type S = sig
       the paper's space claims). *)
   val space_bits : t -> int
 end
+
+(** [sort_hits l] sorts [(document, offset)] occurrences by document,
+    then offset: the order of polymorphic [compare], without its cost. *)
+val sort_hits : (int * int) list -> (int * int) list

@@ -265,7 +265,7 @@ module Make (I : Static_index.S) = struct
   let view_matches v p =
     let acc = ref [] in
     view_search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
+    Static_index.sort_hits !acc
 
   let view_count v p =
     Gsuffix_tree.view_count v.vw_gst p
@@ -484,7 +484,7 @@ module Make (I : Static_index.S) = struct
   let matches t p =
     let acc = ref [] in
     search t p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
+    Static_index.sort_hits !acc
 
   let count t p =
     let c = ref (Gsuffix_tree.count t.gst p) in

@@ -469,7 +469,7 @@ module Make (I : Static_index.S) = struct
   let matches t p =
     let acc = ref [] in
     search t p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
+    Static_index.sort_hits !acc
 
   let count t p =
     donate t;
@@ -900,7 +900,7 @@ module Make (I : Static_index.S) = struct
   let view_matches v p =
     let acc = ref [] in
     view_search v p ~f:(fun ~doc ~off -> acc := (doc, off) :: !acc);
-    List.sort compare !acc
+    Static_index.sort_hits !acc
 
   let view_count v p =
     List.fold_left (fun a (_, g) -> a + Gsuffix_tree.view_count g p) 0 v.vw_gsts

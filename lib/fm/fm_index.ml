@@ -27,6 +27,7 @@ type t = {
   docs : Doc_map.t;
   m : int; (* number of BWT rows = total_len + 1 (sentinel) *)
   bwt : Huffman_wavelet.t;
+  sym_bits : int; (* Huffman_wavelet.symbol_bits bwt *)
   c_before : int array; (* c_before.(c) = #symbols < c in the BWT *)
   sample : int; (* sampling rate s *)
   marked : Rank_select.t; (* rows whose suffix position is ≡ 0 (mod s) *)
@@ -88,6 +89,7 @@ let build ?(tick = no_tick) ~sample (doc_strs : string array) : t =
     docs;
     m;
     bwt;
+    sym_bits = Huffman_wavelet.symbol_bits bwt;
     c_before;
     sample;
     marked = Rank_select.build mark_bv;
@@ -101,10 +103,14 @@ let doc_len t d = Doc_map.doc_len t.docs d
 let row_count t = t.m
 let sample_rate t = t.sample
 
-(* LF-mapping: row of suffix p -> row of suffix p-1 (mod). *)
-let[@inline] lf t row =
-  let c = Huffman_wavelet.access t.bwt row in
-  t.c_before.(c) + Huffman_wavelet.rank t.bwt c row
+(* One LF step from [Huffman_wavelet.access_rank]'s packed result
+   [(rank lsl sym_bits) lor c]: c = bwt[row] and its rank before row. *)
+let[@inline] lf_of_packed t p =
+  t.c_before.(p land ((1 lsl t.sym_bits) - 1)) + (p lsr t.sym_bits)
+
+(* LF-mapping: row of suffix p -> row of suffix p-1 (mod); one
+   wavelet-tree descent. *)
+let[@inline] lf t row = lf_of_packed t (Huffman_wavelet.access_rank t.bwt row)
 
 (* Backward search.  Returns the half-open SA row range of suffixes
    starting with [p], or None. *)
@@ -116,8 +122,9 @@ let range t (p : string) : (int * int) option =
   let ok = ref true in
   while !ok && !i >= 0 do
     let c = sym_of_char p.[!i] in
-    sp := t.c_before.(c) + Huffman_wavelet.rank t.bwt c !sp;
-    ep := t.c_before.(c) + Huffman_wavelet.rank t.bwt c !ep;
+    let rsp, rep = Huffman_wavelet.rank_pair t.bwt c !sp !ep in
+    sp := t.c_before.(c) + rsp;
+    ep := t.c_before.(c) + rep;
     if !sp >= !ep then ok := false;
     decr i
   done;
@@ -126,15 +133,17 @@ let range t (p : string) : (int * int) option =
 let count t p = match range t p with None -> 0 | Some (sp, ep) -> ep - sp
 
 (* Text position of the suffix in SA row [row]: walk LF until a sampled
-   row, O(s) steps. *)
+   row, O(s) steps.  One [access_rank] probe per row gives both whether
+   it is marked and, at the end, its sample index. *)
 let position_of_row t row =
   let row = ref row and steps = ref 0 in
-  while not (Rank_select.get t.marked !row) do
+  let m = ref (Rank_select.access_rank t.marked !row) in
+  while !m land 1 = 0 do
     row := lf t !row;
-    incr steps
+    incr steps;
+    m := Rank_select.access_rank t.marked !row
   done;
-  let idx = Rank_select.rank1 t.marked !row in
-  (Int_vec.get t.sample_vals idx * t.sample) + !steps
+  (Int_vec.get t.sample_vals (!m lsr 1) * t.sample) + !steps
 
 (* (doc, offset) of the suffix in SA row [row]. *)
 let locate t row =
@@ -163,7 +172,8 @@ let row_of_position t pos =
   !row
 
 (* Extract conc[g, g+len) as raw symbols by walking LF backwards from the
-   nearest ISA anchor past the end: O(len + s) wavelet operations. *)
+   nearest ISA anchor past the end: O(len + s) wavelet descents, one per
+   step, which yields both the symbol and the next row. *)
 let extract_symbols t g len =
   let n = total_len t in
   if g < 0 || len < 0 || g + len > n then invalid_arg "Fm_index.extract";
@@ -173,9 +183,9 @@ let extract_symbols t g len =
   let out = Array.make len 0 in
   (* bwt[row of suffix p] = conc[p-1]; walk p = anchor downto g+1 *)
   for p = anchor downto g + 1 do
-    let c = Huffman_wavelet.access t.bwt !row in
-    if p - 1 < e then out.(p - 1 - g) <- c;
-    row := lf t !row
+    let packed = Huffman_wavelet.access_rank t.bwt !row in
+    if p - 1 < e then out.(p - 1 - g) <- packed land ((1 lsl t.sym_bits) - 1);
+    row := lf_of_packed t packed
   done;
   out
 

@@ -518,7 +518,7 @@ let search ?epoch_vector t p =
             | Some g -> acc := (g, off) :: !acc
             | None -> () (* unpublished in-flight copy: not yet visible *)))
   done;
-  let hits = List.sort compare !acc in
+  let hits = Dsdg_core.Static_index.sort_hits !acc in
   Obs.stop h_gather_ns t0;
   hits
 

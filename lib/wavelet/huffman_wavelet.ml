@@ -18,11 +18,13 @@ type t = {
   root : node option; (* None iff the sequence is empty *)
   len : int;
   sigma : int;
+  sym_bits : int; (* bits of the largest symbol, for [access_rank] *)
   codes : Huffman.code array;
 }
 
 let length t = t.len
 let sigma t = t.sigma
+let symbol_bits t = t.sym_bits
 
 let rec build_node (seq : int array) (codes : Huffman.code array) depth tick =
   let n = Array.length seq in
@@ -75,37 +77,70 @@ let build ?(tick = fun () -> ()) ~sigma (seq : int array) =
   Array.iter (fun c -> freqs.(c) <- freqs.(c) + 1) seq;
   let codes = Huffman.codes ~sigma freqs in
   let root = if Array.length seq = 0 then None else Some (build_node seq codes 0 tick) in
-  { root; len = Array.length seq; sigma; codes }
+  let rec bits_for x = if x = 0 then 0 else 1 + bits_for (x lsr 1) in
+  { root; len = Array.length seq; sigma; sym_bits = bits_for (max 0 (sigma - 1)); codes }
+
+(* Inverse select: one descent yields both the symbol [c] at [i] and the
+   number of [c]s before [i].  At each node [Rank_select.access_rank]
+   gives the routing bit and its rank from one probe; the position
+   mapped into the child is the rank of that bit, so at the leaf it is
+   [rank t c i]. *)
+let access_rank t i =
+  if i < 0 || i >= t.len then invalid_arg "Huffman_wavelet.access_rank";
+  let rec go node i =
+    match node with
+    | Leaf c -> (i lsl t.sym_bits) lor c
+    | Node { bv; left; right } ->
+      let p = Rank_select.access_rank bv i in
+      let r1 = p lsr 1 in
+      if p land 1 = 1 then go right r1 else go left (i - r1)
+  in
+  match t.root with
+  | None -> invalid_arg "Huffman_wavelet.access_rank: empty"
+  | Some root -> go root i
 
 let access t i =
   if i < 0 || i >= t.len then invalid_arg "Huffman_wavelet.access";
-  let rec go node i =
+  access_rank t i land ((1 lsl t.sym_bits) - 1)
+
+let[@inline] code_bit (code : Huffman.code) depth = (code.bits lsr (code.len - 1 - depth)) land 1
+
+(* Rank of the symbol with [code] before position [i] of [node], which
+   sits at [depth] on that code's path. *)
+let rec rank_from code node depth i =
+  if i = 0 then 0
+  else
     match node with
-    | Leaf c -> c
+    | Leaf _ -> i
     | Node { bv; left; right } ->
-      if Rank_select.get bv i then go right (Rank_select.rank1 bv i)
-      else go left (Rank_select.rank0 bv i)
-  in
-  match t.root with
-  | None -> invalid_arg "Huffman_wavelet.access: empty"
-  | Some root -> go root i
+      if code_bit code depth = 1 then rank_from code right (depth + 1) (Rank_select.rank1 bv i)
+      else rank_from code left (depth + 1) (Rank_select.rank0 bv i)
 
 let rank t c i =
   if i < 0 || i > t.len then invalid_arg "Huffman_wavelet.rank";
   if c < 0 || c >= t.sigma || t.codes.(c).Huffman.len = 0 then 0
+  else match t.root with None -> 0 | Some root -> rank_from t.codes.(c) root 0 i
+
+(* Map positions [i <= j] down the code of [c] together; once they meet
+   (no [c] between them) one rank descent serves both. *)
+let rank_pair t c i j =
+  if i < 0 || j < i || j > t.len then invalid_arg "Huffman_wavelet.rank_pair";
+  if c < 0 || c >= t.sigma || t.codes.(c).Huffman.len = 0 then (0, 0)
   else begin
     let code = t.codes.(c) in
-    let rec go node depth i =
-      if i = 0 then 0
+    let rec go node depth i j =
+      if i = j then
+        let r = rank_from code node depth i in
+        (r, r)
       else
         match node with
-        | Leaf _ -> i
+        | Leaf _ -> (i, j)
         | Node { bv; left; right } ->
-          let bit = (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1 in
-          if bit = 1 then go right (depth + 1) (Rank_select.rank1 bv i)
-          else go left (depth + 1) (Rank_select.rank0 bv i)
+          let ri = Rank_select.rank1 bv i and rj = Rank_select.rank1 bv j in
+          if code_bit code depth = 1 then go right (depth + 1) ri rj
+          else go left (depth + 1) (i - ri) (j - rj)
     in
-    match t.root with None -> 0 | Some root -> go root 0 i
+    match t.root with None -> (0, 0) | Some root -> go root 0 i j
   end
 
 let select t c k =
@@ -116,8 +151,7 @@ let select t c k =
     match node with
     | Leaf _ -> k
     | Node { bv; left; right } ->
-      let bit = (code.Huffman.bits lsr (code.Huffman.len - 1 - depth)) land 1 in
-      if bit = 1 then begin
+      if code_bit code depth = 1 then begin
         let pos = go right (depth + 1) k in
         if pos >= Rank_select.ones bv then raise Not_found;
         Rank_select.select1 bv pos

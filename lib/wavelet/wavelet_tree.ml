@@ -71,8 +71,8 @@ let access t i =
     match node with
     | Leaf c -> c
     | Node { bv; left; right; _ } ->
-      if Rank_select.get bv i then go right (Rank_select.rank1 bv i)
-      else go left (Rank_select.rank0 bv i)
+      let p = Rank_select.access_rank bv i in
+      if p land 1 = 1 then go right (p lsr 1) else go left (i - (p lsr 1))
   in
   go t.root i
 

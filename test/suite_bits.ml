@@ -48,10 +48,32 @@ let test_popcount_select () =
   check "sel2" 3 (Popcount.select x 2);
   check "sel3" 5 (Popcount.select x 3)
 
+(* Reference popcount: one bit at a time over all 63 bits of an int. *)
+let naive_count x =
+  let c = ref 0 in
+  for p = 0 to 62 do
+    c := !c + ((x lsr p) land 1)
+  done;
+  !c
+
+(* 0, all 62 payload bits, the top payload bit alone, all but the lowest
+   bit, and the sign-bit patterns min_int and -1. *)
+let edge_words = [ 0; 1; max_int; 1 lsl 61; max_int lxor 1; min_int; -1; 0xff lsl 54 ]
+
+let test_popcount_edges () =
+  List.iter
+    (fun x -> check (Printf.sprintf "count %x" x) (naive_count x) (Popcount.count x))
+    edge_words
+
+let prop_popcount_count =
+  QCheck.Test.make ~name:"popcount: count agrees with a bit loop" ~count:1000
+    QCheck.(oneof [ int; map (fun x -> x land max_int) int; int_bound 0xffff ])
+    (fun x -> Popcount.count x = naive_count x)
+
 let prop_popcount_select =
   QCheck.Test.make ~name:"popcount: select is inverse of rank" ~count:500
-    QCheck.(pair (int_bound (1 lsl 30)) (int_bound 62))
-    (fun (x, _) ->
+    QCheck.(oneof [ int; int_bound (1 lsl 30); oneofl edge_words ])
+    (fun x ->
       let c = Popcount.count x in
       let ok = ref true in
       for k = 0 to c - 1 do
@@ -142,6 +164,51 @@ let test_rank_select_all_zeros () =
   let rs = Rank_select.build (Bitvec.create 1000) in
   check "ones" 0 (Rank_select.ones rs);
   check "select0" 999 (Rank_select.select0 rs 999)
+
+(* access_rank = get and rank1 packed, on every position of vectors that
+   end at, just before and just after word (62) and superblock (496)
+   boundaries, and on every bit pattern of length <= 10. *)
+let check_access_rank rs =
+  let n = Rank_select.length rs in
+  for i = 0 to n - 1 do
+    let p = Rank_select.access_rank rs i in
+    checkb (Printf.sprintf "access_rank bit %d/%d" i n) (Rank_select.get rs i) (p land 1 = 1);
+    check (Printf.sprintf "access_rank rank %d/%d" i n) (Rank_select.rank1 rs i) (p lsr 1);
+    check (Printf.sprintf "rank0 %d/%d" i n) (i - (p lsr 1)) (Rank_select.rank0 rs i)
+  done;
+  check (Printf.sprintf "rank1 at end %d" n) (Rank_select.ones rs) (Rank_select.rank1 rs n);
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise on n=%d" name n
+    | exception Invalid_argument _ -> ()
+  in
+  raises "access_rank -1" (fun () -> Rank_select.access_rank rs (-1));
+  raises "access_rank n" (fun () -> Rank_select.access_rank rs n);
+  raises "rank1 -1" (fun () -> Rank_select.rank1 rs (-1));
+  raises "rank1 n+1" (fun () -> Rank_select.rank1 rs (n + 1));
+  raises "get n" (fun () -> Rank_select.get rs n)
+
+let test_access_rank_boundaries () =
+  let st = Random.State.make [| 7 |] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun p ->
+          let bools = random_bools st n p in
+          let rs = Rank_select.build (Bitvec.of_bools bools) in
+          check_access_rank rs;
+          for i = 0 to n do
+            check (Printf.sprintf "rank1 naive %d/%d" i n) (naive_rank1 bools i) (Rank_select.rank1 rs i)
+          done)
+        [ 0.0; 0.5; 1.0 ])
+    [ 0; 61; 62; 63; 123; 124; 125; 495; 496; 497; 991; 992; 993; 1500 ]
+
+let test_access_rank_short_exhaustive () =
+  for n = 0 to 10 do
+    for bits = 0 to (1 lsl n) - 1 do
+      check_access_rank (Rank_select.build (Bitvec.init n (fun i -> (bits lsr i) land 1 = 1)))
+    done
+  done
 
 let prop_rank_select =
   QCheck.Test.make ~name:"rank/select agree with naive on random vectors" ~count:100
@@ -248,7 +315,7 @@ let prop_elias_fano_rank =
       Elias_fano.rank_lt ef v = naive)
 
 let qsuite = List.map Qc.to_alcotest
-  [ prop_popcount_select; prop_bitvec_roundtrip; prop_rank_select;
+  [ prop_popcount_count; prop_popcount_select; prop_bitvec_roundtrip; prop_rank_select;
     prop_select_rank_inverse; prop_int_vec_roundtrip; prop_elias_fano;
     prop_elias_fano_rank ]
 
@@ -256,6 +323,7 @@ let suite =
   [ ("word_bits constant", `Quick, test_word_bits);
     ("popcount small", `Quick, test_popcount_small);
     ("popcount select", `Quick, test_popcount_select);
+    ("popcount edge words", `Quick, test_popcount_edges);
     ("bitvec basic", `Quick, test_bitvec_basic);
     ("bitvec full", `Quick, test_bitvec_full);
     ("bitvec bounds", `Quick, test_bitvec_bounds);
@@ -263,6 +331,8 @@ let suite =
     ("rank/select exhaustive", `Quick, test_rank_select_exhaustive);
     ("rank/select all ones", `Quick, test_rank_select_all_ones);
     ("rank/select all zeros", `Quick, test_rank_select_all_zeros);
+    ("access_rank word/superblock boundaries", `Quick, test_access_rank_boundaries);
+    ("access_rank all short vectors", `Quick, test_access_rank_short_exhaustive);
     ("int_vec basic", `Quick, test_int_vec_basic);
     ("int_vec wide", `Quick, test_int_vec_wide);
     ("int_vec width_for", `Quick, test_int_vec_width_for);

@@ -95,6 +95,21 @@ let test_iter_doc_rows () =
     check "distinct" (l + 1) (List.length sorted)
   done
 
+(* The public kernel entries reject out-of-range rows and slices. *)
+let test_bounds () =
+  let docs = [| "banana"; "band" |] in
+  let fm = Fm_index.build ~sample:3 docs in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "locate -1" (fun () -> Fm_index.locate fm (-1));
+  raises "locate row_count" (fun () -> Fm_index.locate fm (Fm_index.row_count fm));
+  raises "extract off -1" (fun () -> Fm_index.extract fm ~doc:1 ~off:(-1) ~len:2);
+  raises "extract len -1" (fun () -> Fm_index.extract fm ~doc:1 ~off:0 ~len:(-1));
+  raises "extract past doc" (fun () -> Fm_index.extract fm ~doc:1 ~off:2 ~len:3)
+
 let test_sample_rates () =
   let docs = [| "the rain in spain stays mainly in the plain" |] in
   List.iter
@@ -126,19 +141,35 @@ let prop_search_matches_naive =
       QCheck.assume (String.length p_raw > 0);
       let p = String.map (fun c -> Char.chr (97 + (Char.code c mod 3))) p_raw in
       let docs = Array.of_list docs_l in
-      let fm = Fm_index.build ~sample:3 docs in
-      fm_search fm p = naive_search docs p)
+      let want = naive_search docs p in
+      List.for_all
+        (fun sample ->
+          let fm = Fm_index.build ~sample docs in
+          fm_search fm p = want && Fm_index.count fm p = List.length want)
+        [ 1; 3; 8 ])
 
+(* Whole documents and every substring of up to 9 symbols, at sample
+   rates where the ISA anchor is the end of the text, one step past the
+   slice, or several steps past it. *)
 let prop_extract_roundtrip =
   QCheck.Test.make ~name:"fm extract recovers documents" ~count:100 arb_docs
     (fun docs_l ->
       let docs = Array.of_list docs_l in
-      let fm = Fm_index.build ~sample:4 docs in
       let ok = ref true in
-      Array.iteri
-        (fun d str ->
-          if Fm_index.extract fm ~doc:d ~off:0 ~len:(String.length str) <> str then ok := false)
-        docs;
+      List.iter
+        (fun sample ->
+          let fm = Fm_index.build ~sample docs in
+          Array.iteri
+            (fun d str ->
+              let n = String.length str in
+              if Fm_index.extract fm ~doc:d ~off:0 ~len:n <> str then ok := false;
+              for off = 0 to n do
+                for len = 0 to min 9 (n - off) do
+                  if Fm_index.extract fm ~doc:d ~off ~len <> String.sub str off len then ok := false
+                done
+              done)
+            docs)
+        [ 1; 3; 4; 8 ];
       !ok)
 
 let prop_count_equals_range_width =
@@ -167,5 +198,6 @@ let suite =
     ("suffix_row/locate roundtrip", `Quick, test_suffix_row_roundtrip);
     ("iter_doc_rows", `Quick, test_iter_doc_rows);
     ("sample rates", `Quick, test_sample_rates);
+    ("locate/extract bounds", `Quick, test_bounds);
     ("space decreases with sample", `Quick, test_space_decreases_with_sample) ]
   @ qsuite

@@ -56,6 +56,11 @@ let test_protocol_response_roundtrip () =
   check "int" (Protocol.Int 42) (Protocol.Int 42);
   check "hits" (Protocol.Hits [ (0, 3); (2, 0) ]) (Protocol.Hits [ (0, 3); (2, 0) ]);
   check "hits empty" (Protocol.Hits []) (Protocol.Hits []);
+  let hits = [ (0, 3); (12, 40); (7, 0); (1999, 100000); (max_int, -5); (min_int, 10) ] in
+  Alcotest.(check string) "hits wire bytes"
+    (String.concat "" ("ok hits 6" :: List.map (fun (d, o) -> Printf.sprintf " %d %d" d o) hits))
+    (Protocol.response_to_string (Protocol.Hits hits));
+  Alcotest.(check string) "no hits wire bytes" "ok hits 0" (Protocol.response_to_string (Protocol.Hits []));
   check "text with spaces and newline" (Protocol.Text "a b\nc\"d") (Protocol.Text "a b\nc\"d");
   check "none" Protocol.No_text Protocol.No_text;
   check "stats" (Protocol.Stats_of [ ("docs", 3); ("epoch", 9) ])

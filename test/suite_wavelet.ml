@@ -40,15 +40,52 @@ let battery_wt a sigma =
   battery "wt" ~access:(Wavelet_tree.access wt) ~rank:(Wavelet_tree.rank wt)
     ~select:(Wavelet_tree.select wt) ~len:(Wavelet_tree.length wt) ~sigma a
 
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s did not raise Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+(* The one-descent queries against access/rank: [access_rank] at every
+   position, [rank_pair] on every [i <= j] for every symbol (including
+   absent and out-of-range ones), and their bounds checks. *)
+let check_one_descent wt a sigma =
+  let n = Array.length a in
+  let bits = Huffman_wavelet.symbol_bits wt in
+  for i = 0 to n - 1 do
+    let p = Huffman_wavelet.access_rank wt i in
+    check (Printf.sprintf "access_rank sym %d" i) (Huffman_wavelet.access wt i) (p land ((1 lsl bits) - 1));
+    check (Printf.sprintf "access_rank rank %d" i) (naive_rank a a.(i) i) (p lsr bits)
+  done;
+  for c = -1 to sigma do
+    let pre = Array.init (n + 1) (fun i -> if c < 0 || c >= sigma then 0 else Huffman_wavelet.rank wt c i) in
+    for i = 0 to n do
+      for j = i to n do
+        let ri, rj = Huffman_wavelet.rank_pair wt c i j in
+        if ri <> pre.(i) || rj <> pre.(j) then
+          Alcotest.failf "rank_pair c=%d (%d, %d) = (%d, %d), want (%d, %d)" c i j ri rj pre.(i) pre.(j)
+      done
+    done
+  done;
+  raises_invalid "access_rank -1" (fun () -> Huffman_wavelet.access_rank wt (-1));
+  raises_invalid "access_rank n" (fun () -> Huffman_wavelet.access_rank wt n);
+  raises_invalid "access n" (fun () -> Huffman_wavelet.access wt n);
+  raises_invalid "rank n+1" (fun () -> Huffman_wavelet.rank wt 0 (n + 1));
+  raises_invalid "rank_pair -1" (fun () -> Huffman_wavelet.rank_pair wt 0 (-1) 0);
+  raises_invalid "rank_pair j > n" (fun () -> Huffman_wavelet.rank_pair wt 0 0 (n + 1));
+  if n > 0 then raises_invalid "rank_pair j < i" (fun () -> Huffman_wavelet.rank_pair wt 0 1 0)
+
 let battery_hwt a sigma =
   let wt = Huffman_wavelet.build ~sigma a in
   battery "hwt" ~access:(Huffman_wavelet.access wt) ~rank:(Huffman_wavelet.rank wt)
-    ~select:(Huffman_wavelet.select wt) ~len:(Huffman_wavelet.length wt) ~sigma a
+    ~select:(Huffman_wavelet.select wt) ~len:(Huffman_wavelet.length wt) ~sigma a;
+  check_one_descent wt a sigma
 
 let test_wt_small () = battery_wt [| 3; 1; 4; 1; 5; 2; 6; 5; 3; 5 |] 8
 let test_hwt_small () = battery_hwt [| 3; 1; 4; 1; 5; 2; 6; 5; 3; 5 |] 8
 let test_wt_unary () = battery_wt (Array.make 50 0) 1
-let test_hwt_unary () = battery_hwt (Array.make 50 0) 3
+let test_hwt_unary () =
+  battery_hwt (Array.make 50 0) 3;
+  battery_hwt (Array.make 130 2) 3
 let test_wt_binary () = battery_wt [| 0; 1; 1; 0; 1; 0; 0; 0; 1 |] 2
 let test_hwt_binary () = battery_hwt [| 0; 1; 1; 0; 1; 0; 0; 0; 1 |] 2
 
@@ -87,7 +124,8 @@ let test_hwt_compression () =
 let test_empty () =
   let wt = Huffman_wavelet.build ~sigma:4 [||] in
   check "len" 0 (Huffman_wavelet.length wt);
-  check "rank" 0 (Huffman_wavelet.rank wt 2 0)
+  check "rank" 0 (Huffman_wavelet.rank wt 2 0);
+  check_one_descent wt [||] 4
 
 let gen_seq = QCheck.(pair (int_range 1 12) (list_of_size Gen.(0 -- 150) (int_bound 11)))
 
@@ -115,6 +153,7 @@ let prop_hwt =
           if Huffman_wavelet.rank wt c i <> naive_rank a c i then ok := false
         done
       done;
+      check_one_descent wt a sigma;
       !ok)
 
 let prop_select_rank_inverse =
